@@ -51,6 +51,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from ..budget import Budget, BudgetExhausted, coerce_budget
 from ..firing.relations import FiringOracle
+from ..firing.witness import may_fire
 from ..homomorphism.finder import find_homomorphisms
 from ..model.atoms import Atom
 from ..model.dependencies import EGD, TGD, AnyDependency, DependencySet
@@ -641,12 +642,8 @@ class AdornmentAlgorithm:
         fulls = [d for d in mu_deps if d.is_full]
         if dep.is_full:
             fulls = fulls + [dep]
-        body_preds = {a.predicate for a in dep.body}
         for s in mu_deps:
-            if isinstance(s, TGD):
-                if not body_preds & {a.predicate for a in s.head}:
-                    continue
-            if self._mu_oracle.fires(s, dep, fulls=fulls):
+            if may_fire(s, dep) and self._mu_oracle.fires(s, dep, fulls=fulls):
                 return True
         return False
 

@@ -34,11 +34,23 @@ MAX_SIMPLE_CYCLES = 10_000
 def _cycles_weakly_acyclic(
     sigma: DependencySet, graph: nx.DiGraph
 ) -> tuple[bool, bool]:
-    """(all cycles WA, exact).  Falls back to SCC check past the cap."""
-    cycles = list(islice(nx.simple_cycles(graph), MAX_SIMPLE_CYCLES + 1))
+    """(all cycles WA, exact).  Falls back to SCC check past the cap.
+
+    Cycles are enumerated over integer node ids (Johnson's search compares
+    nodes constantly, and ids compare far cheaper than dependencies), and
+    the WA check runs once per distinct cycle node set.
+    """
+    nodes = list(graph)
+    ids = nx.convert_node_labels_to_integers(graph)
+    cycles = list(islice(nx.simple_cycles(ids), MAX_SIMPLE_CYCLES + 1))
     if len(cycles) <= MAX_SIMPLE_CYCLES:
+        checked: set[frozenset[int]] = set()
         for cycle in cycles:
-            if not is_weakly_acyclic(sigma.restricted_to(cycle)):
+            key = frozenset(cycle)
+            if key in checked:
+                continue
+            checked.add(key)
+            if not is_weakly_acyclic(sigma.restricted_to(nodes[i] for i in cycle)):
                 return False, True
         return True, True
     for scc in nx.strongly_connected_components(graph):

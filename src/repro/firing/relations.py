@@ -7,6 +7,10 @@ depends on the set of full dependencies (condition (iv)), so its cache is
 keyed accordingly — the adornment algorithm re-queries the oracle as its
 adorned set grows.
 
+A pair the predicate prefilter (:func:`~.witness.may_fire`) rejects is
+answered ``False`` outright: no cache entry, engine or budget is made
+for it.
+
 Each pair decision runs under a fresh step budget of ``self.budget``
 steps; fresh budgets are linked to the ambient budget of the enclosing
 analysis scope (see :mod:`repro.budget`), so a criterion-level deadline
@@ -36,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ..budget import coerce_budget
 from ..concurrency import SingleFlightCache
 from ..model.dependencies import AnyDependency, DependencySet
-from .witness import DEFAULT_BUDGET, FiringDecision, WitnessEngine
+from .witness import DEFAULT_BUDGET, FiringDecision, WitnessEngine, may_fire
 
 
 def _deterministic(decision: FiringDecision, engine: WitnessEngine) -> bool:
@@ -234,6 +238,8 @@ class FiringOracle:
 
     def precedes(self, r1: AnyDependency, r2: AnyDependency) -> bool:
         """``r1 ≺ r2``."""
+        if not may_fire(r1, r2):
+            return False
         key = (r1, r2)
         decision = self._precedes_cache.get(key)
         if decision is None:
@@ -256,6 +262,8 @@ class FiringOracle:
         fulls: Iterable[AnyDependency] | None = None,
     ) -> bool:
         """``r1 < r2`` w.r.t. the full dependencies (defaults to Σ∀)."""
+        if not may_fire(r1, r2):
+            return False
         fulls = tuple(fulls) if fulls is not None else tuple(self.fulls)
         key = (r1, r2, frozenset(fulls))
         decision = self._fires_cache.get(key)

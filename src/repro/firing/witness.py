@@ -21,7 +21,10 @@ practice witness search over canonical instances:
   head atoms / the EGD merge do not provide;
 * condition (i) reduces to *newness* — at least one atom of
   ``h2(Body(r2))`` must be absent from ``K`` (if all body atoms pre-exist,
-  either (i) or (iii) necessarily fails; see the derivation in DESIGN.md);
+  either (i) or (iii) necessarily fails; DESIGN.md §12 gives the lemma);
+  for a TGD ``r1`` the only atoms of ``J`` missing from ``K`` are the new
+  head atoms, so a candidate mapping no body atom of ``r2`` onto one of
+  them is dropped before its ``K`` is built;
 * for (iv), minimal witnesses are *saturated*: every applicable-and-
   defusing full TGD's head is added to K (the only way to neutralise it),
   re-checking (i)–(iii) after each addition; EGD defusers can be
@@ -190,7 +193,8 @@ class WitnessEngine:
         # renamed-apart bodies are fixed for the engine's lifetime).  The
         # empty compile target means ordering falls back to probe count;
         # witness instances are small enough that order barely matters.
-        # A no-op unless the "planned" backend is active in this context.
+        # Runs under the plan-compiling backends ("planned" and the
+        # default "columnar"); a no-op under the others.
         warm_plans(
             [self.r1.body, self.r2.body, *(d.body for d in self.fulls)], ()
         )
@@ -225,7 +229,7 @@ class WitnessEngine:
     # -- driver ----------------------------------------------------------
 
     def _decide(self, check_defusal: bool) -> FiringDecision:
-        if not self._prefilter():
+        if not may_fire(self.r1, self.r2):
             return FiringDecision(False, True)
         inexact = False
         for witness, died_by_defusal in self._search(check_defusal):
@@ -236,20 +240,6 @@ class WitnessEngine:
         if self._hit_partition_limit:
             inexact = True
         return FiringDecision(False, not inexact)
-
-    def _prefilter(self) -> bool:
-        """Cheap necessary condition.
-
-        A TGD r1 can fire r2 only if at least one atom of ``h2(Body(r2))``
-        comes from the new head atoms, so the head and body predicates must
-        intersect.  EGDs can fire essentially anything (the merge may
-        freshly create any body atom in J \\ K), so no filter applies.
-        """
-        if isinstance(self.r1, TGD):
-            head_preds = {a.predicate for a in self.r1.head}
-            body_preds = {a.predicate for a in self.r2.body}
-            return bool(head_preds & body_preds)
-        return True
 
     # -- witness enumeration ------------------------------------------------
 
@@ -339,9 +329,16 @@ class WitnessEngine:
         supply: _TermSupply,
         check_defusal: bool,
     ) -> Iterator[tuple[Witness | None, bool]]:
-        """Enumerate mappings of Body(r2) into J = (K ∪ extras)γ ∪ New."""
+        """Enumerate mappings of Body(r2) into J = (K ∪ extras)γ ∪ New.
+
+        For a TGD r1 a candidate must map some matched body atom into
+        ``New \\ K0``: free images and matched images in ``K0`` all land
+        in ``K``, so otherwise ``h2(Body(r2)) ⊆ K`` and newness fails.
+        """
+        fresh: set[Atom] = set()
         if gamma is None:
             J0 = list(dict.fromkeys(K0 + new_atoms))
+            fresh = set(new_atoms).difference(K0)
         else:
             old, new = gamma
             J0 = list(dict.fromkeys(a.apply({old: new}) for a in K0))
@@ -357,6 +354,10 @@ class WitnessEngine:
             for g in find_homomorphisms(matched, J0, limit=None):
                 if not self.budget.charge():
                     return
+                if gamma is None and not any(
+                    a.apply(g) in fresh for a in matched
+                ):
+                    continue
                 yield from self._complete_witness(
                     Kbase, K0, new_atoms, gamma, h1, dict(g), free, supply,
                     check_defusal,
@@ -688,6 +689,20 @@ class WitnessEngine:
 
 
 # -- module-level conveniences -------------------------------------------------
+
+
+def may_fire(r1: AnyDependency, r2: AnyDependency) -> bool:
+    """Cheap necessary condition for ``r1 ≺ r2`` (and hence ``r1 < r2``).
+
+    A TGD r1 can fire r2 only if at least one atom of ``h2(Body(r2))``
+    comes from the new head atoms, so the head and body predicates must
+    intersect.  EGDs can fire essentially anything (the merge may freshly
+    create any body atom in J \\ K), so no filter applies.
+    """
+    if isinstance(r1, TGD):
+        body_preds = {a.predicate for a in r2.body}
+        return any(a.predicate in body_preds for a in r1.head)
+    return True
 
 
 def decide_precedes(

@@ -4,11 +4,10 @@ A homomorphism from a set of atoms ``A1`` to a set of atoms ``A2`` is a
 mapping ``h : Dom(A1) → Dom(A2)`` with ``h(c) = c`` for every constant and
 ``R(h(t)) ∈ A2`` for every ``R(t) ∈ A1`` (Section 2).
 
-The search itself lives in :mod:`repro.matching`: by default the indexed
-engine (dynamic most-constrained-first atom selection, candidate pools from
-``(predicate, position, term)`` bucket intersection), with the seed's naive
-algorithm retained as a switchable reference backend — see
-``repro.matching.config``.  This module keeps the stable public API:
+The search itself lives in :mod:`repro.matching`: by default the columnar
+backend (compiled join plans run over per-predicate typed columns), with
+the planned, indexed and naive engines retained as switchable backends —
+see ``repro.matching.config``.  This module keeps the stable public API:
 
 * a partial seed mapping supports *extension* homomorphisms, which the
   standard chase's applicability test and EGD satisfaction checks need;
