@@ -14,9 +14,10 @@ shares it everywhere: a lazy, memoized, thread-safe store that every
 consults instead of rebuilding its own.  The classification portfolio
 creates one context per program and passes it to every criterion
 (``backend="shared"``); a criterion checked on its own creates a private
-context, which degenerates to per-criterion memoization — the historical
-behaviour, kept as the ``"standalone"`` reference backend and pinned
-byte-identical to the shared path by the differential suite.
+context, which degenerates to per-criterion memoization.  The
+``"isolated"`` backend (per-criterion contexts, no shared firing-decision
+cache) is the oracle the differential suite pins the shared path to,
+byte for byte.
 
 Thread-safety contract
 ----------------------

@@ -3,8 +3,6 @@ sequence exploration, and Skolemisation."""
 
 from .core_chase import core_chase, core_chase_step
 from .explorer import (
-    DISCOVERY_MODES,
-    SNAPSHOT_BACKENDS,
     ExplorationResult,
     ExplorationVerdict,
     canonical_key,
@@ -37,8 +35,6 @@ from .strategies import (
 __all__ = [
     "core_chase",
     "core_chase_step",
-    "DISCOVERY_MODES",
-    "SNAPSHOT_BACKENDS",
     "ExplorationResult",
     "ExplorationVerdict",
     "canonical_key",

@@ -25,10 +25,12 @@ genuinely isomorphic states).
 
 The DFS visits branches transactionally: a branch takes an
 ``Instance.savepoint``, applies its step in place, recurses, and rolls
-back — O(|Δ|) per branch instead of the O(|I|) ``copy()`` per branch the
-``snapshots="copy"`` reference backend pays (kept switchable so the
-differential suite and the explore bench can hold the two against each
-other).  The oblivious and semi-oblivious chase carry trigger-key state,
+back — O(|Δ|) per branch — and finds each child's triggers by joining
+only the step's delta against the dependency bodies.  ``reference=True``
+switches both back to the seed's behaviour: an O(|I|) ``copy()`` per
+branch and a from-scratch trigger enumeration per state.  The
+differential suite and the explore bench hold the two against each
+other.  The oblivious and semi-oblivious chase carry trigger-key state,
 so their exploration is a plain bounded DFS over the same machinery.
 """
 
@@ -42,8 +44,13 @@ from math import factorial
 from ..budget import Budget
 from ..homomorphism.finder import find_homomorphisms
 from ..homomorphism.satisfaction import satisfies_tgd
-from ..matching import body_atom_index, delta_homomorphisms, get_backend, warm_plans
-from ..matching.engine import match_atom
+from ..matching import (
+    body_atom_index,
+    delta_homomorphisms,
+    match_atom,
+    warm_plans,
+    working_instance,
+)
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, DependencySet
@@ -58,9 +65,6 @@ from .step import Trigger, apply_step
 #: state is still canonised exactly, while refinement usually splits the
 #: classes down to a single relabeling long before the cap matters.
 CLASS_PERMUTATION_CAP = 40_320
-
-SNAPSHOT_BACKENDS = ("savepoint", "copy")
-DISCOVERY_MODES = ("delta", "full")
 
 
 class ExplorationVerdict(enum.Enum):
@@ -148,7 +152,7 @@ def canonical_key(instance: Instance) -> tuple:
     first-occurrence relabeling beyond.  Either way the relabeling is a
     bijection, so equal keys always mean isomorphic states; the key
     depends only on the fact *set*, never on iteration order, so the
-    savepoint and copy snapshot backends memoize identically.
+    production and reference DFS memoize identically.
     """
     null_facts = []
     ground = []
@@ -269,8 +273,7 @@ def explore_chase(
     max_depth: int = 20,
     max_states: int = 20_000,
     budget: Budget | None = None,
-    snapshots: str = "savepoint",
-    discovery: str = "delta",
+    reference: bool = False,
 ) -> ExplorationResult:
     """Explore every ``variant``-chase sequence of (database, sigma).
 
@@ -278,42 +281,28 @@ def explore_chase(
     and cancellation on top of the ``max_states`` cap; exhausting either
     counts as hitting the state budget for the verdict.
 
-    ``snapshots`` selects how branches are visited: ``"savepoint"``
-    (default) applies each step in place under an undo-log savepoint and
-    rolls back after the recursion — O(step) per branch — while
-    ``"copy"`` is the reference backend forking a full instance copy per
-    branch.
+    By default each branch applies its step in place under an undo-log
+    savepoint and rolls back after the recursion — O(step) per branch —
+    and each state's candidate triggers are the parent's (still live,
+    γ-rewritten) candidates plus a join of only the step's delta-log
+    facts against the dependency bodies (the semi-naive protocol of
+    DESIGN.md §1, sound along a DFS path because chase states evolve
+    monotonically and dead triggers stay dead); only variant
+    applicability is re-checked per state.  ``reference=True`` is the
+    seed behaviour: a full instance copy per branch and every body
+    homomorphism re-enumerated from scratch at every state.
 
-    ``discovery`` selects how each state's applicable triggers are found:
-    ``"delta"`` (default) carries the parent's candidate triggers down the
-    DFS and joins only the step's delta-log facts against the dependency
-    bodies (the semi-naive protocol of DESIGN.md §1, sound along a DFS
-    path because chase states evolve monotonically and dead triggers stay
-    dead), re-checking only variant applicability per state; ``"full"``
-    re-enumerates every body homomorphism from scratch at every state —
-    the seed behaviour, kept as the reference.
-
-    All four backend combinations produce identical results; the
-    differential suite asserts it.  The input database is never modified.
+    Both paths produce identical results; the differential suite asserts
+    it.  The input database is never modified.
     """
-    if snapshots not in SNAPSHOT_BACKENDS:
-        raise ValueError(
-            f"unknown snapshot backend {snapshots!r}; known: {SNAPSHOT_BACKENDS}"
-        )
-    if discovery not in DISCOVERY_MODES:
-        raise ValueError(
-            f"unknown discovery mode {discovery!r}; known: {DISCOVERY_MODES}"
-        )
     budget = budget if budget is not None else Budget()
     key_vars = {d: _key_variables(d, variant) for d in sigma} if variant != "standard" else {}
     memo: set[tuple] = set()
     stats = {"terminating": 0, "failing": 0, "capped": 0, "states": 0}
     budget_hit = [False]
-    transactional = snapshots == "savepoint"
-    semi_naive = discovery == "delta"
-    body_index = body_atom_index((d, d.body) for d in sigma) if semi_naive else None
+    body_index = body_atom_index((d, d.body) for d in sigma)
     # Compile the per-dependency join plans once for the whole exploration
-    # (a no-op unless the "planned" backend is active in this context).
+    # (a no-op under the naive reference backend).
     warm_plans((d.body for d in sigma), database)
     head_preds = {
         d: frozenset(a.predicate for a in d.head)
@@ -431,19 +420,19 @@ def explore_chase(
             stats["capped"] += 1
             return
         # Fresh-null numbering is a function of the *parent* state: every
-        # sibling branch starts from the same nulls (the savepoint backend
+        # sibling branch starts from the same nulls (the savepoint path
         # rolls a branch's nulls back before the next one begins), so the
         # domain scan is hoisted out of the branch loop.
         start = max((n.label for n in instance.nulls()), default=0) + 1
         for trigger in triggers:
             if budget_hit[0]:
                 return
-            if transactional:
-                sp = instance.savepoint()
-                child = instance
-            else:
+            if reference:
                 sp = None
                 child = instance.copy()
+            else:
+                sp = instance.savepoint()
+                child = instance
             nulls = NullFactory(start=start)
             tick = child.tick
             outcome = apply_step(child, trigger, nulls)
@@ -462,7 +451,9 @@ def explore_chase(
                         for dep, images in fired
                     )
                 child_fired = child_fired | {new_key}
-            if semi_naive:
+            if reference:
+                child_candidates, child_delta = initial_candidates(child), []
+            else:
                 # Carry the parent's (still-live, γ-rewritten) applicable
                 # triggers and join only the delta facts against the
                 # bodies; inapplicable triggers are dead along the whole
@@ -486,23 +477,16 @@ def explore_chase(
                     for dep, h in delta_homomorphisms(body_index, child, live)
                 )
                 child_candidates, child_delta = carried, live
-            else:
-                child_candidates, child_delta = initial_candidates(child), []
             visit(child, child_fired, depth + 1, child_candidates, child_delta)
             if sp is not None:
                 instance.rollback(sp)
 
-    # The savepoint backend mutates its working instance in place, so it
-    # forks the caller's database exactly once; the copy backend forks
+    # The savepoint path mutates its working instance in place, so it
+    # forks the caller's database exactly once; the reference path forks
     # per branch and never touches the root.  Under the columnar backend
     # the conversion is itself a fork, and branch savepoints/copies then
     # stay columnar all the way down.
-    if get_backend() == "columnar" and not isinstance(database, ColumnarInstance):
-        root: Instance | ColumnarInstance = ColumnarInstance(database)
-    elif transactional:
-        root = database.copy()
-    else:
-        root = database
+    root = working_instance(database, copy=not reference)
     visit(root, frozenset(), 0, initial_candidates(root), [])
 
     capped = stats["capped"]

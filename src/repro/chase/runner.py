@@ -2,8 +2,8 @@
 
 The runner owns a working instance and a pool of *pending* candidate
 triggers.  Discovery is **semi-naive**: the instance's delta log feeds each
-newly added (or merge-rewritten) fact into the indexed matching engine,
-which joins it only against bodies mentioning its predicate.  There is no
+newly added (or merge-rewritten) fact into the matching layer, which
+joins it only against bodies mentioning its predicate.  There is no
 "full sweep on drain" any more; DESIGN.md ("Indexed matching and semi-naive
 discovery") states and proves the invariant that replaces it:
 
@@ -25,8 +25,8 @@ discovery") states and proves the invariant that replaces it:
 
 Each discovery batch is pushed in a canonical order (dependency order in Σ,
 then assignment images), so a run's step sequence depends only on the *set*
-of homomorphisms each discovery finds — the indexed engine and the naive
-reference backend (``engine="naive"``) drive byte-identical chase runs,
+of homomorphisms each discovery finds — the ``planned`` production backend
+and the naive reference (``engine="naive"``) drive byte-identical chase runs,
 which the differential test suite exploits.
 
 Variant-specific applicability (Section 2):
@@ -49,9 +49,9 @@ from ..matching import (
     body_atom_index,
     delta_homomorphisms,
     delta_row_homomorphisms,
-    get_backend,
     using_backend,
     warm_plans,
+    working_instance,
 )
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
@@ -107,16 +107,7 @@ class ChaseRunner:
         self.budget = budget if budget is not None else Budget()
         self.engine = engine
         self.check_exhaustive = check_exhaustive
-        # Under the columnar backend the working instance is columnar:
-        # conversion happens here (once, at chase start) so every step,
-        # discovery and satisfaction check downstream runs on int columns.
-        eff = engine if engine is not None else get_backend()
-        if eff == "columnar" and not isinstance(database, ColumnarInstance):
-            self.instance: Instance | ColumnarInstance = ColumnarInstance(database)
-        elif copy_database:
-            self.instance = database.copy()
-        else:
-            self.instance = database
+        self.instance = working_instance(database, copy_database, engine)
         start = max((n.label for n in self.instance.nulls()), default=0) + 1
         self.nulls = NullFactory(start=start)
         self.steps: list[StepOutcome] = []
@@ -238,8 +229,8 @@ class ChaseRunner:
             return self._run()
 
     def _run(self) -> ChaseResult:
-        # Compile the per-dependency join plans up front (a no-op unless
-        # the "planned" backend is active in this context).
+        # Compile the per-dependency join plans up front (a no-op under
+        # the naive reference backend).
         warm_plans((d.body for d in self.sigma), self.instance)
         self._discover_initial()
         self._tick = self.instance.tick
@@ -319,8 +310,8 @@ def run_chase(
 
     ``variant`` is one of ``standard``, ``oblivious``, ``semi_oblivious``;
     ``strategy`` resolves the nondeterministic choice among applicable
-    steps; ``engine`` selects the matching backend (``planned``,
-    ``columnar``, ``indexed`` or the ``naive`` reference), or inherits the
+    steps; ``engine`` selects the matching backend (the ``planned``
+    default, ``columnar`` or the ``naive`` reference), or inherits the
     ambient backend when None — ``using_backend(...)`` around this call is
     honoured, and the ``columnar`` backend additionally switches the
     working instance to the columnar fact store.  ``budget``

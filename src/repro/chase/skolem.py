@@ -23,8 +23,8 @@ from ..matching import (
     body_atom_index,
     delta_homomorphisms,
     delta_row_homomorphisms,
-    get_backend,
     warm_plans,
+    working_instance,
 )
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
@@ -177,14 +177,11 @@ def saturate(
     fact — exhausts mid-round.
     """
     budget = budget if budget is not None else Budget()
-    if get_backend() == "columnar" and not isinstance(database, ColumnarInstance):
-        instance: Instance | ColumnarInstance = ColumnarInstance(database)
-    else:
-        instance = database.copy()
+    instance = working_instance(database)
     rules = list(rules)
     body_index = body_atom_index((rule, rule.source.body) for rule in rules)
     # Compile the per-rule join plans once for the whole saturation (a
-    # no-op unless the "planned" backend is active in this context).
+    # no-op under the naive reference backend).
     warm_plans((rule.source.body for rule in rules), instance)
     rounds = 0
     tick = instance.tick

@@ -428,11 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "overall verdict (cheap static criteria usually "
                         "decide it first)")
     p.add_argument("--backend", default="shared",
-                   choices=["shared", "standalone", "isolated"],
+                   choices=["shared", "isolated"],
                    help="artifact sharing across criteria: one shared "
-                        "analysis context (default), the per-criterion "
-                        "standalone reference path, or fully isolated "
-                        "recomputation")
+                        "analysis context (default) or fully isolated "
+                        "recomputation (the reference path)")
     p.add_argument("--hierarchy", action="store_true",
                    help="fill in verdicts already implied or refuted by "
                         "the paper's criterion containments (e.g. WA ⇒ "

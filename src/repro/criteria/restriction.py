@@ -26,8 +26,6 @@ recursion only accepts more).  Both guarantee CTstd∀.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import networkx as nx
 
 from ..firing.graphs import oblivious_chase_graph
@@ -35,6 +33,7 @@ from ..firing.relations import FiringOracle
 from ..model.dependencies import AnyDependency, DependencySet
 from .base import Guarantee, TerminationCriterion, register
 from .safety import affected_positions, is_safe
+from .stratification import cycles_hold
 
 MAX_SIMPLE_CYCLES = 2_000
 MAX_RECURSION = 4
@@ -73,18 +72,8 @@ def _can_pass_null(r1: AnyDependency, r2: AnyDependency, affected) -> bool:
 
 
 def _cycles_safe(sigma: DependencySet, graph: nx.DiGraph) -> tuple[bool, bool]:
-    cycles = list(islice(nx.simple_cycles(graph), MAX_SIMPLE_CYCLES + 1))
-    if len(cycles) > MAX_SIMPLE_CYCLES:
-        # Fall back to per-SCC safety (stronger, still sound).
-        for scc in nx.strongly_connected_components(graph):
-            if len(scc) > 1 or graph.has_edge(next(iter(scc)), next(iter(scc))):
-                if not is_safe(sigma.restricted_to(scc)):
-                    return False, False
-        return True, False
-    for cycle in cycles:
-        if not is_safe(sigma.restricted_to(cycle)):
-            return False, True
-    return True, True
+    """(all cycles safe, exact).  Falls back to per-SCC safety past the cap."""
+    return cycles_hold(sigma, graph, is_safe, MAX_SIMPLE_CYCLES)
 
 
 def is_safely_restricted(sigma: DependencySet) -> tuple[bool, bool]:

@@ -19,6 +19,7 @@ criterion, flagged as approximate in the result.
 from __future__ import annotations
 
 from itertools import islice
+from typing import Callable
 
 import networkx as nx
 
@@ -31,34 +32,46 @@ from .weak_acyclicity import is_weakly_acyclic
 MAX_SIMPLE_CYCLES = 10_000
 
 
-def _cycles_weakly_acyclic(
-    sigma: DependencySet, graph: nx.DiGraph
+def cycles_hold(
+    sigma: DependencySet,
+    graph: nx.DiGraph,
+    holds: Callable[[DependencySet], bool],
+    cap: int,
 ) -> tuple[bool, bool]:
-    """(all cycles WA, exact).  Falls back to SCC check past the cap.
+    """(``holds`` accepts the dependencies of every cycle, exact).
 
-    Cycles are enumerated over integer node ids (Johnson's search compares
-    nodes constantly, and ids compare far cheaper than dependencies), and
-    the WA check runs once per distinct cycle node set.
+    The cycle check shared by Str/CStr (``holds`` = weak acyclicity) and
+    SR/IR (``holds`` = safety).  Cycles are enumerated over integer node
+    ids (Johnson's search compares nodes constantly, and ids compare far
+    cheaper than dependencies), and ``holds`` runs once per distinct cycle
+    node set.  Past ``cap`` cycles it falls back to checking every cyclic
+    SCC instead — a stronger condition, so still sound, but inexact.
     """
     nodes = list(graph)
     ids = nx.convert_node_labels_to_integers(graph)
-    cycles = list(islice(nx.simple_cycles(ids), MAX_SIMPLE_CYCLES + 1))
-    if len(cycles) <= MAX_SIMPLE_CYCLES:
+    cycles = list(islice(nx.simple_cycles(ids), cap + 1))
+    if len(cycles) <= cap:
         checked: set[frozenset[int]] = set()
         for cycle in cycles:
             key = frozenset(cycle)
             if key in checked:
                 continue
             checked.add(key)
-            if not is_weakly_acyclic(sigma.restricted_to(nodes[i] for i in cycle)):
+            if not holds(sigma.restricted_to(nodes[i] for i in cycle)):
                 return False, True
         return True, True
     for scc in nx.strongly_connected_components(graph):
-        component = sigma.restricted_to(scc)
         if len(scc) > 1 or graph.has_edge(next(iter(scc)), next(iter(scc))):
-            if not is_weakly_acyclic(component):
+            if not holds(sigma.restricted_to(scc)):
                 return False, False
     return True, False
+
+
+def _cycles_weakly_acyclic(
+    sigma: DependencySet, graph: nx.DiGraph
+) -> tuple[bool, bool]:
+    """(all cycles WA, exact).  Falls back to the SCC check past the cap."""
+    return cycles_hold(sigma, graph, is_weakly_acyclic, MAX_SIMPLE_CYCLES)
 
 
 def is_stratified(sigma: DependencySet) -> bool:

@@ -193,8 +193,8 @@ class WitnessEngine:
         # renamed-apart bodies are fixed for the engine's lifetime).  The
         # empty compile target means ordering falls back to probe count;
         # witness instances are small enough that order barely matters.
-        # Runs under the plan-compiling backends ("planned" and the
-        # default "columnar"); a no-op under the others.
+        # Runs under the plan-compiling backends ("planned", the default,
+        # and "columnar"); a no-op under the naive reference.
         warm_plans(
             [self.r1.body, self.r2.body, *(d.body for d in self.fulls)], ()
         )
@@ -710,10 +710,9 @@ def decide_precedes(
     r2: AnyDependency,
     step_variant: str = "standard",
     budget: Budget | int = DEFAULT_BUDGET,
-    snapshots: str = "savepoint",
 ) -> FiringDecision:
     """Decide ``r1 ≺ r2`` (chase-graph edge)."""
-    return WitnessEngine(r1, r2, (), step_variant, budget, snapshots).precedes()
+    return WitnessEngine(r1, r2, (), step_variant, budget).precedes()
 
 
 def decide_fires(
@@ -722,9 +721,6 @@ def decide_fires(
     fulls: Iterable[AnyDependency],
     step_variant: str = "standard",
     budget: Budget | int = DEFAULT_BUDGET,
-    snapshots: str = "savepoint",
 ) -> FiringDecision:
     """Decide ``r1 < r2`` (firing-graph edge) w.r.t. the full dependencies."""
-    return WitnessEngine(
-        r1, r2, tuple(fulls), step_variant, budget, snapshots
-    ).fires()
+    return WitnessEngine(r1, r2, tuple(fulls), step_variant, budget).fires()

@@ -1,7 +1,7 @@
-"""Delta-driven indexed trigger matching.
+"""Delta-driven trigger matching.
 
-The shared matching engine behind every chase consumer — see DESIGN.md,
-"Indexed matching and semi-naive discovery".  Public surface:
+The matching layer behind every chase consumer — see DESIGN.md §1
+(semi-naive discovery) and §9 (compiled plans).  Public surface:
 
 * :func:`homomorphisms` — backend-dispatching homomorphism enumeration
   (``repro.homomorphism.finder`` delegates here);
@@ -9,9 +9,10 @@ The shared matching engine behind every chase consumer — see DESIGN.md,
   discovery over an instance's delta log;
 * :func:`seed_mapping` — anchor a body atom onto a fact;
 * :func:`get_backend` / :func:`set_backend` / :func:`using_backend` —
-  switch between the ``columnar`` generated int loops (default), the
-  ``planned`` compiled plans, the ``indexed`` engine, and the ``naive``
-  reference;
+  switch between the ``planned`` compiled plans (default), the
+  ``columnar`` generated int loops, and the ``naive`` reference;
+* :func:`chase_instance` / :func:`working_instance` — the backend's
+  preferred fact store for a fresh or a caller-supplied chase instance;
 * :func:`warm_plans` — precompile the ``planned``/``columnar`` backends'
   join plans for a dependency set's bodies at chase start.
 """
@@ -24,7 +25,6 @@ from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.instances import Instance
 from ..model.terms import Term
-from . import engine as _engine
 from . import naive as _naive
 from . import plans as _plans
 from .config import BACKENDS, get_backend, set_backend, using_backend
@@ -47,15 +47,12 @@ def homomorphisms(
     limit: int | None = None,
 ) -> Iterator[Homomorphism]:
     """Enumerate homomorphisms using the active matching backend."""
-    backend = get_backend()
-    if backend == "planned" or backend == "columnar":
-        # One dispatcher for both: plans.match picks the int executor for
-        # columnar targets and the object path for everything else, so
-        # plain-Instance consumers keep working under "columnar".
-        return _plans.match(source, target, seed, frozen_nulls, limit)
-    if backend == "naive":
+    if get_backend() == "naive":
         return _naive.match(source, target, seed, frozen_nulls, limit)
-    return _engine.match(source, target, seed, frozen_nulls, limit)
+    # One dispatcher for "planned" and "columnar": plans.match picks the
+    # int executor for columnar targets and the object path for everything
+    # else, so plain-Instance consumers keep working under "columnar".
+    return _plans.match(source, target, seed, frozen_nulls, limit)
 
 
 def chase_instance(facts: Iterable[Atom] = ()) -> Instance | ColumnarInstance:
@@ -68,6 +65,27 @@ def chase_instance(facts: Iterable[Atom] = ()) -> Instance | ColumnarInstance:
     return Instance(facts)
 
 
+def working_instance(
+    database: Instance | ColumnarInstance,
+    copy: bool = True,
+    backend: str | None = None,
+) -> Instance | ColumnarInstance:
+    """The instance a chase entry point mutates in place of ``database``.
+
+    Under the columnar backend (``backend``, else the active one) an
+    object ``database`` is converted once, at chase start — the
+    conversion is itself a fork, so the caller's database is never
+    touched and every step downstream runs on int columns.  Otherwise it
+    is a private ``copy()``, or ``database`` itself when ``copy`` is
+    false (the caller hands its instance over to be mutated).
+    """
+    if (backend or get_backend()) == "columnar" and not isinstance(
+        database, ColumnarInstance
+    ):
+        return ColumnarInstance(database)
+    return database.copy() if copy else database
+
+
 def warm_plans(
     bodies: Iterable[Sequence[Atom]],
     target: Instance | ColumnarInstance | Iterable[Atom],
@@ -75,8 +93,8 @@ def warm_plans(
 ) -> int:
     """Precompile join plans for ``bodies`` if a plan-executing backend
     (``planned``/``columnar``) is active; a no-op (returning 0) under the
-    reference backends."""
-    if get_backend() not in ("planned", "columnar"):
+    ``naive`` reference."""
+    if get_backend() == "naive":
         return 0
     return _warm(bodies, target, frozen_nulls)
 
@@ -95,4 +113,5 @@ __all__ = [
     "set_backend",
     "using_backend",
     "warm_plans",
+    "working_instance",
 ]

@@ -1,14 +1,13 @@
 """Compiled per-body join plans: the ``"planned"`` matching backend.
 
-The indexed engine (:mod:`.engine`) re-interprets every body on every
-call: it rebuilds per-atom plan tuples, allocates two closures, and runs
-a most-constrained-first *search over atoms* at every node of the
-backtracking tree.  On selective corpora that interpretive overhead is
-noise next to the pruning it buys; on the flat classes of the matching
-bench (tiny candidate pools, very many trigger probes — e.g.
-E1001-5000/G1-10) it **is** the cost.  This module compiles each
-``(body, seeded-variables, frozen_nulls)`` combination once into a
-fixed-order join plan and replays the plan on every subsequent call:
+Interpreting a body on every call — rebuilding per-atom plan tuples and
+running a most-constrained-first *search over atoms* at every node of
+the backtracking tree — is noise next to the pruning it buys on
+selective corpora, but on the flat classes of the matching bench (tiny
+candidate pools, very many trigger probes — e.g. E1001-5000/G1-10) it
+**is** the cost.  This module compiles each ``(body, seeded-variables,
+frozen_nulls)`` combination once into a fixed-order join plan and
+replays the plan on every subsequent call:
 
 * **Atom order is chosen at compile time** from the index statistics of
   the first target the plan runs against (bucket sizes / predicate
@@ -30,13 +29,13 @@ fixed-order join plan and replays the plan on every subsequent call:
   per (dependency, anchor atom) pair after the first delta round;
   :func:`warm` precompiles those pairs up front at chase start.
 
-The backend is *order-free equivalent* to the engine: it enumerates the
-same homomorphism **set**, possibly in a different order, which is the
-contract the backend switch and the differential suites hold every
-backend to (chase decisions are order-insensitive because the runner
+The backend is *order-free equivalent* to the ``naive`` reference: it
+enumerates the same homomorphism **set**, possibly in a different order,
+which is the contract the backend switch and the differential suites
+hold every backend to (chase decisions are order-insensitive because the runner
 sorts discovery batches canonically; see DESIGN.md §9).
 
-Like the engine, the executor borrows the instance's live buckets; a
+The executor borrows the instance's live buckets; a
 plan holds **no** reference to any instance — only atom structure, term
 objects and term ids — so the cache never pins instance state.  Term ids
 are process-local (:mod:`repro.model.terms`) and never escape into the
@@ -52,8 +51,8 @@ family-local term ids — probe-free steps scan rowmap keys directly
 bitmap and upgrade to the vectorised :mod:`repro.model.kernels` above a
 size threshold, and no ``Atom`` or ``Term`` object is touched until a
 homomorphism is emitted at the boundary.  The object path below is
-retained verbatim for ``Instance`` and ad-hoc targets (and is what the
-reference backends keep running against).
+retained verbatim for ``Instance`` and ad-hoc targets (it is the
+production ``planned`` path).
 """
 
 from __future__ import annotations
@@ -556,7 +555,7 @@ def match(
     compiled (and cached) join plan.
 
     Same contract and same homomorphism *set* as
-    :func:`repro.matching.engine.match` / :func:`repro.matching.naive.match`
+    :func:`repro.matching.naive.match`
     (order may differ).  Columnar targets run the plan's generated int
     executor; everything else runs the object path below.
     """
@@ -576,7 +575,7 @@ def _match_object(
     base: Homomorphism = dict(seed) if seed else {}
 
     # Constants in the source must not be seeded to something else (the
-    # engine rejects these wholesale, irrespective of body membership).
+    # seed is rejected wholesale, irrespective of body membership).
     for k, v in base.items():
         if isinstance(k, Constant) and k is not v:
             return

@@ -1,8 +1,9 @@
 """The columnar fact store: facts as row indexes over typed tid columns.
 
 :class:`ColumnarInstance` is the ``"columnar"`` matching backend's fact
-representation (DESIGN.md §10/§11) — since PR 10 the **default** chase
-substrate.  Where :class:`~.instances.Instance` stores a set of
+representation (DESIGN.md §10/§11), selectable with
+``using_backend("columnar")`` (the default backend, ``"planned"``, keeps
+the object :class:`~.instances.Instance`; DESIGN.md §13).  Where :class:`~.instances.Instance` stores a set of
 :class:`~.atoms.Atom` objects and indexes them three ways, this store
 keeps **no per-fact Python object at all**:
 

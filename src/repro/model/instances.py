@@ -9,8 +9,7 @@ depends on for performance:
 * a predicate index (``predicate → set of facts``) used by the homomorphism
   finder,
 * a position index (``(predicate, position) → term id → set of facts``)
-  used by the indexed matching engine and the compiled plans
-  (:mod:`repro.matching`) to intersect candidate buckets instead of
+  used by the compiled plans (:mod:`repro.matching`) to intersect candidate buckets instead of
   scanning whole predicate extents.  Its cells are keyed by the interned
   term id (``term.tid``, a process-local small int — see
   :mod:`repro.model.terms`) rather than the term object, so the hot

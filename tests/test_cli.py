@@ -59,10 +59,10 @@ class TestClassify:
         assert "artifacts:" in out and "firing decisions:" in out
 
     def test_backend_flag(self, sigma3_file, capsys):
-        assert main(["classify", sigma3_file, "--backend", "standalone",
+        assert main(["classify", sigma3_file, "--backend", "isolated",
                      "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "backend: standalone" in out
+        assert "backend: isolated" in out
         assert "artifacts:" not in out  # no shared context to report on
 
     def test_hierarchy_flag(self, sigma3_file, capsys):

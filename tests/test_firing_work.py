@@ -9,7 +9,9 @@ DESIGN.md §12 describes the three pruning steps these tests pin:
 * a TGD r1's witness always instantiates some body atom of r2 in
   ``J \\ K`` (the newness lemma the candidate prune rests on);
 * the cycle check over integer node ids returns what enumerating cycles
-  of the dependency-node graph returns, cap fallback included.
+  of the dependency-node graph returns, cap fallback included, for both
+  of its per-cycle tests (weak acyclicity for Str/CStr, safety for
+  SR/IR).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.criteria.stratification import MAX_SIMPLE_CYCLES, _cycles_weakly_acyclic
+from repro.criteria import restriction, stratification
+from repro.criteria.safety import is_safe
 from repro.criteria.weak_acyclicity import is_weakly_acyclic
 from repro.data import all_paper_sets
 from repro.firing import (
@@ -174,17 +177,28 @@ class TestNewnessLemma:
                 _assert_new_body_atom(r1, r2, sigma.full)
 
 
-def _reference_cycles_weakly_acyclic(sigma, graph):
+#: (production cycle check, its per-cycle test, its cap).
+CYCLE_CHECKS = [
+    (
+        stratification._cycles_weakly_acyclic,
+        is_weakly_acyclic,
+        stratification.MAX_SIMPLE_CYCLES,
+    ),
+    (restriction._cycles_safe, is_safe, restriction.MAX_SIMPLE_CYCLES),
+]
+
+
+def _reference_cycles_hold(sigma, graph, holds, cap):
     """Cycles enumerated on the dependency-node graph itself."""
-    cycles = list(islice(nx.simple_cycles(graph), MAX_SIMPLE_CYCLES + 1))
-    if len(cycles) <= MAX_SIMPLE_CYCLES:
+    cycles = list(islice(nx.simple_cycles(graph), cap + 1))
+    if len(cycles) <= cap:
         for cycle in cycles:
-            if not is_weakly_acyclic(sigma.restricted_to(cycle)):
+            if not holds(sigma.restricted_to(cycle)):
                 return False, True
         return True, True
     for scc in nx.strongly_connected_components(graph):
         if len(scc) > 1 or graph.has_edge(next(iter(scc)), next(iter(scc))):
-            if not is_weakly_acyclic(sigma.restricted_to(scc)):
+            if not holds(sigma.restricted_to(scc)):
                 return False, False
     return True, False
 
@@ -210,22 +224,24 @@ class TestCycleCheck:
             (u, v) for u in range(n) for v in range(n) if rng.random() < p
         ]
         graph = _dependency_graph(sigma, edges)
-        assert _cycles_weakly_acyclic(sigma, graph) == (
-            _reference_cycles_weakly_acyclic(sigma, graph)
-        )
+        for check, holds, cap in CYCLE_CHECKS:
+            assert check(sigma, graph) == (
+                _reference_cycles_hold(sigma, graph, holds, cap)
+            ), holds.__name__
 
     def test_verdicts_cover_both_outcomes(self):
-        outcomes = set()
-        for seed in range(40):
-            sigma = random_dependency_set(
-                seed, n_deps=6, n_predicates=4, egd_fraction=0.2
-            )
-            n = len(sigma)
-            graph = _dependency_graph(
-                sigma, [(u, v) for u in range(n) for v in range(n)]
-            )
-            outcomes.add(_cycles_weakly_acyclic(sigma, graph))
-        assert {(True, True), (False, True)} <= outcomes
+        for check, holds, _ in CYCLE_CHECKS:
+            outcomes = set()
+            for seed in range(40):
+                sigma = random_dependency_set(
+                    seed, n_deps=6, n_predicates=4, egd_fraction=0.2
+                )
+                n = len(sigma)
+                graph = _dependency_graph(
+                    sigma, [(u, v) for u in range(n) for v in range(n)]
+                )
+                outcomes.add(check(sigma, graph))
+            assert {(True, True), (False, True)} <= outcomes, holds.__name__
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_complete_digraph_past_the_cap(self, seed):
@@ -235,6 +251,7 @@ class TestCycleCheck:
         assert len(sigma) == 8
         complete = nx.complete_graph(8, create_using=nx.DiGraph)
         graph = _dependency_graph(sigma, complete.edges())
-        result = _cycles_weakly_acyclic(sigma, graph)
-        assert result == _reference_cycles_weakly_acyclic(sigma, graph)
-        assert result[1] is False  # more than MAX_SIMPLE_CYCLES cycles
+        for check, holds, cap in CYCLE_CHECKS:
+            result = check(sigma, graph)
+            assert result == _reference_cycles_hold(sigma, graph, holds, cap)
+            assert result[1] is False  # more than ``cap`` cycles

@@ -1,15 +1,14 @@
 """Differential tests: every matching backend vs the naive reference.
 
-The indexed engine (``repro.matching.engine``), the plan-compiled engine
-(``repro.matching.plans``) and the columnar backend (the same plans
-executing as generated int loops over a ``ColumnarInstance``) must all be
-*observationally identical* to the naive reference
-(``repro.matching.naive``):
+The plan-compiled production backend (``repro.matching.plans``) and the
+columnar backend (the same plans executing as generated int loops over a
+``ColumnarInstance``) must both be *observationally identical* to the
+naive reference (``repro.matching.naive``):
 
-* all four enumerate exactly the same homomorphism sets (order may
+* all three enumerate exactly the same homomorphism sets (order may
   differ);
 * a chase run driven by any backend produces the identical
-  ``ChaseResult`` — status, step count, and final instance — for all four
+  ``ChaseResult`` — status, step count, and final instance — for all
   variants and all strategies, because the runner pushes each discovery
   batch in a canonical order;
 * the semi-naive saturation loop derives exactly what the seed's naive
@@ -34,10 +33,9 @@ from repro.chase.skolem import SkolemTerm, critical_instance, saturate, skolemis
 from repro.generators.corpus import generate_corpus
 from repro.generators.databases import seed_database
 from repro.generators.random_deps import random_dependency_set
-from repro.matching import engine as indexed_engine
 from repro.matching import naive as naive_engine
 from repro.matching import plans as planned_engine
-from repro.matching import using_backend
+from repro.matching import seed_mapping, set_backend, using_backend
 from repro.model.atoms import Atom
 from repro.model.columnar import ColumnarInstance
 from repro.model.instances import Instance
@@ -89,9 +87,6 @@ def test_homomorphism_sets_identical_on_random_programs():
         col = ColumnarInstance(inst)
         for dep in sigma:
             want = hom_set(naive_engine, dep.body, inst)
-            assert hom_set(indexed_engine, dep.body, inst) == want, (
-                f"seed={seed} dep={dep}"
-            )
             assert hom_set(planned_engine, dep.body, inst) == want, (
                 f"seed={seed} dep={dep} (planned)"
             )
@@ -109,7 +104,7 @@ def test_homomorphism_sets_identical_with_seeds_and_frozen_nulls():
             # semi-naive discovery does, and compare extension sets.
             atom = dep.body[0]
             for fact in inst.with_predicate(atom.predicate):
-                partial = indexed_engine.seed_mapping(atom, fact)
+                partial = seed_mapping(atom, fact)
                 if partial is None:
                     continue
                 for frozen in (False, True):
@@ -117,10 +112,6 @@ def test_homomorphism_sets_identical_with_seeds_and_frozen_nulls():
                         naive_engine, dep.body, inst, seed=partial,
                         frozen_nulls=frozen,
                     )
-                    assert hom_set(
-                        indexed_engine, dep.body, inst, seed=partial,
-                        frozen_nulls=frozen,
-                    ) == want, f"seed={seed} dep={dep} fact={fact} frozen={frozen}"
                     assert hom_set(
                         planned_engine, dep.body, inst, seed=partial,
                         frozen_nulls=frozen,
@@ -145,9 +136,6 @@ def test_homomorphism_sets_identical_on_corpus_bodies():
         col = ColumnarInstance(db)
         for dep in list(ont.sigma)[:15]:
             want = hom_set(naive_engine, dep.body, db)
-            assert hom_set(indexed_engine, dep.body, db) == want, (
-                f"{ont.name} dep={dep}"
-            )
             assert hom_set(planned_engine, dep.body, db) == want, (
                 f"{ont.name} dep={dep} (planned)"
             )
@@ -164,9 +152,7 @@ def test_non_instance_targets_and_empty_sources():
     sigma = random_dependency_set(3, n_deps=4)
     for dep in sigma:
         want = hom_set(naive_engine, dep.body, facts)
-        assert hom_set(indexed_engine, dep.body, facts) == want
         assert hom_set(planned_engine, dep.body, facts) == want
-    assert list(indexed_engine.match([], facts, seed={a: a})) == [{a: a}]
     assert list(naive_engine.match([], facts, seed={a: a})) == [{a: a}]
     assert list(planned_engine.match([], facts, seed={a: a})) == [{a: a}]
 
@@ -185,7 +171,7 @@ def test_chase_differential_on_random_programs():
                     db, sigma, variant=variant, strategy=strategy,
                     max_steps=50, engine="naive",
                 )
-                for engine in ("indexed", "planned", "columnar"):
+                for engine in ("planned", "columnar"):
                     r_eng = run_chase(
                         db, sigma, variant=variant, strategy=strategy,
                         max_steps=50, engine=engine,
@@ -208,7 +194,7 @@ def test_chase_differential_all_strategies():
                     db, sigma, variant=variant, strategy=strategy,
                     max_steps=40, engine="naive",
                 )
-                for engine in ("indexed", "planned", "columnar"):
+                for engine in ("planned", "columnar"):
                     r_eng = run_chase(
                         db, sigma, variant=variant, strategy=strategy,
                         max_steps=40, engine=engine,
@@ -229,7 +215,7 @@ def test_chase_differential_on_corpus():
                 db, ont.sigma, variant=variant, strategy="full_first",
                 max_steps=150, engine="naive",
             )
-            for engine in ("indexed", "planned", "columnar"):
+            for engine in ("planned", "columnar"):
                 r_eng = run_chase(
                     db, ont.sigma, variant=variant, strategy="full_first",
                     max_steps=150, engine=engine,
@@ -346,7 +332,7 @@ def reference_naive_msa(sigma, max_rounds=2_000):
 
 
 def test_msa_differential_on_random_programs():
-    """The semi-naive MSA loop (delta rounds + indexed matcher) must agree
+    """The semi-naive MSA loop (delta rounds + planned matcher) must agree
     with the seed's full-re-enumeration naive loop, program for program —
     the contribution edges recorded from delta homomorphisms alone must
     produce the same cyclicity verdict."""
@@ -429,3 +415,22 @@ def test_columnar_chase_exhaustive_oracle():
                 db, sigma, variant, "fifo", max_steps=80,
                 engine="columnar", check_exhaustive=True,
             ).run()
+
+
+def test_unknown_backend_rejected():
+    """Unknown names — the retired ``indexed`` engine's included — fail
+    with a clean ``ValueError`` at every entry point, before any search."""
+    from repro.matching import BACKENDS, get_backend
+
+    assert BACKENDS == ("planned", "columnar", "naive")
+    assert get_backend() == "planned"
+    sigma = random_dependency_set(0, n_deps=3)
+    for name in ("indexed", "bogus"):
+        with pytest.raises(ValueError):
+            set_backend(name)
+        with pytest.raises(ValueError):
+            with using_backend(name):
+                pass
+        with pytest.raises(ValueError):
+            run_chase(Instance(), sigma, engine=name)
+    assert get_backend() == "planned"
